@@ -5,9 +5,14 @@
 into the committed ``BENCH_kernels.json`` trajectory snapshot.
 """
 
+import random
+
 import pytest
 
+from repro.graphs._reference import kernighan_lin_once_reference
+from repro.graphs.bisection import _kernighan_lin_once
 from repro.graphs.csr import batched_hop_distances, clear_csr_cache, csr_graph
+from repro.graphs.regular import random_regular_graph
 from repro.graphs.properties import average_path_length, diameter
 from repro.routing._reference import (
     all_pairs_hop_distances_reference,
@@ -26,6 +31,12 @@ def fig05_scale_graph():
 @pytest.fixture(scope="module")
 def ksp_graph():
     return JellyfishTopology.build(100, 10, 6, rng=2).graph
+
+
+@pytest.fixture(scope="module")
+def kl_graph():
+    """A 720-switch degree-12 RRG, the size fig02a-ens bisects at paper scale."""
+    return random_regular_graph(720, 12, rng=0)
 
 
 def test_bench_batched_bfs_all_pairs(benchmark, fig05_scale_graph):
@@ -79,3 +90,18 @@ def test_bench_reference_yen(benchmark, ksp_graph):
     nodes = sorted(ksp_graph.nodes)
     paths = benchmark(k_shortest_paths_reference, ksp_graph, nodes[0], nodes[-1], 8)
     assert len(paths) == 8
+
+
+def test_bench_kernighan_lin(benchmark, kl_graph):
+    """One KL trial on the index-space kernel (timing only)."""
+    _, cut = benchmark(_kernighan_lin_once, kl_graph, random.Random(0))
+    assert cut > 0
+
+
+def test_bench_reference_kernighan_lin(benchmark, kl_graph):
+    """The same trial on the retained networkx body (timing only)."""
+    _, cut = benchmark.pedantic(
+        kernighan_lin_once_reference, args=(kl_graph, random.Random(0)),
+        iterations=1, rounds=3,
+    )
+    assert cut > 0

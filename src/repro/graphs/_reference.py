@@ -1,4 +1,4 @@
-"""Retained pre-vectorization graph constructors (parity references).
+"""Retained pre-vectorization graph kernels (parity references).
 
 These are the original ``networkx``-native implementations of the paper's
 random-graph procedures, kept verbatim so the array-native rewrites in
@@ -8,17 +8,23 @@ constructors consume the rng stream identically and produce the same edge
 set *and* the same adjacency insertion order (which downstream CSR kernels
 use for deterministic tie-breaking).
 
+The Kernighan–Lin bisection that :mod:`repro.graphs.bisection` used to
+delegate to ``networkx`` (3.6.1) lives here too, as the pin for the
+index-space kernel: ``tests/test_graphs_bisection.py`` asserts both return
+the same partition and leave the rng in the same state.
+
 Do not modify the algorithmic bodies here: they define the rng-stream
 contract the production constructors must honor.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Set, Tuple
 
 import networkx as nx
 import numpy as np
 
+from repro.graphs.bisection import cut_size
 from repro.graphs.regular import GraphConstructionError, _validate_regular_params
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -223,3 +229,110 @@ def stub_matching_regular_graph_reference(
             ),
         )
     return graph
+
+
+def _kernighan_lin_sweep_reference(edge_info, side):
+    """One networkx 3.6.1 ``_kernighan_lin_sweep``, verbatim.
+
+    Moves single nodes, alternating between sides; two lazy binary heaps
+    ordered by ``(value, insertion count)`` pick the cheapest next move.
+    """
+    heap0, heap1 = cost_heaps = nx.utils.BinaryHeap(), nx.utils.BinaryHeap()
+    # we use heap methods insert, pop, and get
+    for u, nbrs in edge_info.items():
+        cost_u = sum(wt if side[v] else -wt for v, wt in nbrs.items())
+        if side[u]:
+            heap1.insert(u, cost_u)
+        else:
+            heap0.insert(u, -cost_u)
+
+    def _update_heap_values(node):
+        side_node = side[node]
+        for nbr, wt in edge_info[node].items():
+            side_nbr = side[nbr]
+            if side_nbr == side_node:
+                wt = -wt
+            heap_nbr = cost_heaps[side_nbr]
+            if nbr in heap_nbr:
+                cost_nbr = heap_nbr.get(nbr) + 2 * wt
+                # allow_increase lets us update a value already on the heap
+                heap_nbr.insert(nbr, cost_nbr, allow_increase=True)
+
+    i = 0
+    totcost = 0
+    while heap0 and heap1:
+        u, cost_u = heap0.pop()
+        _update_heap_values(u)
+        v, cost_v = heap1.pop()
+        _update_heap_values(v)
+        totcost += cost_u + cost_v
+        i += 1
+        yield totcost, i, (u, v)
+
+
+def kernighan_lin_bisection_reference(G, partition, max_iter=10, weight="weight"):
+    """networkx 3.6.1 ``kernighan_lin_bisection``, verbatim.
+
+    Only the decorators (undirected check, seed coercion, dispatch) and the
+    random-partition branch are gone: every caller passes ``partition``.
+    Returns ``(part1, part2)``: the nodes that end on side 0 (``B``) and
+    side 1 (``A``).
+    """
+    nodes = list(G)
+
+    try:
+        A, B = partition
+    except (TypeError, ValueError) as err:
+        raise nx.NetworkXError("partition must be two sets") from err
+    if not nx.community.is_partition(G, [A, B]):
+        raise nx.NetworkXError("partition invalid")
+
+    side = {node: (node in A) for node in nodes}
+
+    if callable(weight):
+        sum_weight = weight
+    elif G.is_multigraph():
+        sum_weight = lambda u, v, d: sum(dd.get(weight, 1) for dd in d.values())  # noqa: E731
+    else:
+        sum_weight = lambda u, v, d: d.get(weight, 1)  # noqa: E731
+
+    edge_info = {
+        u: {v: wt for v, d in nbrs.items() if (wt := sum_weight(u, v, d)) is not None}
+        for u, nbrs in G._adj.items()
+    }
+
+    for i in range(max_iter):
+        costs = list(_kernighan_lin_sweep_reference(edge_info, side))
+        # find out how many edges to update: min_i
+        min_cost, min_i, _ = min(costs)
+        if min_cost >= 0:
+            break
+
+        for _, _, (u, v) in costs[:min_i]:
+            side[u] = 1
+            side[v] = 0
+
+    part1 = {u for u, s in side.items() if s == 0}
+    part2 = {u for u, s in side.items() if s == 1}
+    return part1, part2
+
+
+def kernighan_lin_partition_reference(graph: nx.Graph, rng) -> Tuple[Set, Set]:
+    """One randomized KL trial as :mod:`repro.graphs.bisection` ran it.
+
+    Shuffles the node list, puts the first half on side 1, draws the seed
+    networkx ignores once a partition is given, and refines.  Returns the
+    ``(side 0, side 1)`` node sets.
+    """
+    nodes = list(graph.nodes)
+    rng.shuffle(nodes)
+    half = len(nodes) // 2
+    side_a = set(nodes[:half])
+    rng.randrange(2**32)
+    return kernighan_lin_bisection_reference(graph, partition=(side_a, set(nodes[half:])))
+
+
+def kernighan_lin_once_reference(graph: nx.Graph, rng) -> Tuple[Set, int]:
+    """The historical ``_kernighan_lin_once``: side 0 and its cut size."""
+    best_side, _ = kernighan_lin_partition_reference(graph, rng)
+    return best_side, cut_size(graph, best_side)

@@ -8,8 +8,14 @@ Three tools matching the paper's evaluation methodology:
   ``N * (r/4 - sqrt(r * ln 2) / 2)`` edges.
 * :func:`estimate_bisection_bandwidth` -- a Kernighan–Lin-style heuristic
   that searches for a small balanced cut in a concrete graph (upper bound on
-  the true bisection width); used for the LEGUP comparison (Fig 7) where
-  concrete expanded topologies are measured.
+  the true bisection width); used for the per-instance cuts of Fig 2(a)
+  (``fig02a-ens``) and the LEGUP comparison (Fig 7) where concrete
+  expanded topologies are measured.  Each trial runs an index-space kernel
+  over the cached CSR view that replays networkx's
+  ``kernighan_lin_bisection`` step for step (same rng draws, same moves),
+  with per-side FIFO value buckets in place of its lazy binary heaps.  The
+  networkx body it is pinned against lives in
+  :mod:`repro.graphs._reference`; ``docs/perf.md`` gives the argument.
 * :func:`exact_bisection_bandwidth` -- brute-force over all balanced
   partitions, only feasible for tiny graphs; used by the test suite to
   validate the heuristic.
@@ -19,12 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Set, Tuple
+from collections import deque
+from typing import List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.graphs.csr import csr_graph
+from repro.graphs.csr import CSRGraph, csr_graph
+from repro.telemetry import count, trace
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -56,8 +64,7 @@ def cut_size(graph: nx.Graph, partition: Set) -> int:
     side = np.zeros(csr.num_nodes, dtype=bool)
     inside = [csr.index_of[node] for node in partition if node in csr.index_of]
     side[inside] = True
-    crossings = np.count_nonzero(side[csr.edge_sources()] != side[csr.indices])
-    return int(crossings) // 2
+    return _crossing_edges(csr, side)
 
 
 def exact_bisection_bandwidth(graph: nx.Graph) -> int:
@@ -101,17 +108,139 @@ def exact_bisection_bandwidth(graph: nx.Graph) -> int:
     return best if best is not None else 0
 
 
+#: Outer Kernighan–Lin passes per trial (networkx's ``max_iter`` default).
+KL_MAX_ITER = 10
+
+
+def _pop_cheapest(row, slot: int, state: List[int], value: List[int], bound: int):
+    """Pop the cheapest queued node of one side from its value buckets.
+
+    ``row[slot]`` is the FIFO of entries pushed with value ``slot - bound``;
+    buckets below ``slot`` are empty.  Scanning up from the lowest bucket
+    and taking the earliest entry whose node is still queued *and* still
+    has that value reproduces the lazy ``(value, insertion count)`` heap,
+    which accepts such an entry even when a newer one with the same value
+    exists.  Stale entries are dropped on the way, as the heap drops them.
+    """
+    while True:
+        queue = row[slot]
+        while queue:
+            node = queue.popleft()
+            if state[node] and value[node] == slot - bound:
+                return node, slot
+        slot += 1
+
+
+def _kl_sweep(
+    adj: List[List[int]], order: List[int], side: List[bool], value: List[int], bound: int
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """One Kernighan–Lin sweep over index space.
+
+    ``value[u]`` is the cost of moving ``u`` off its side: internal minus
+    external neighbors, counted as if every popped node had already moved.
+    Popping a neighbor changes it by 2, and it stays within ``±bound`` (the
+    largest degree).  Alternately pops the cheapest side-0 and side-1 node
+    and updates its still-queued neighbors in adjacency order, until one
+    side runs out.  Returns the running total cost after each pair and the
+    ``(side-0 node, side-1 node)`` pairs.
+    """
+    width = 2 * bound + 1
+    # Indexed by queue state: 1 = queued on side 0, 2 = queued on side 1,
+    # 0 = popped.
+    state = [2 if s else 1 for s in side]
+    rows = (None, [deque() for _ in range(width)], [deque() for _ in range(width)])
+    steps = (None, (0, -2, 2), (0, 2, -2))
+    lowest = [0, width, width]
+    queued = [0, 0, 0]
+    for u in order:
+        st = state[u]
+        slot = value[u] + bound
+        rows[st][slot].append(u)
+        if slot < lowest[st]:
+            lowest[st] = slot
+        queued[st] += 1
+
+    totals: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    totcost = 0
+    popped = [0, 0, 0]
+    while queued[1] and queued[2]:
+        for st in (1, 2):
+            node, slot = _pop_cheapest(rows[st], lowest[st], state, value, bound)
+            lowest[st] = slot
+            state[node] = 0
+            queued[st] -= 1
+            totcost += slot - bound
+            popped[st] = node
+            step = steps[st]
+            for nbr in adj[node]:
+                st_nbr = state[nbr]
+                if st_nbr:
+                    cost = value[nbr] + step[st_nbr]
+                    value[nbr] = cost
+                    slot = cost + bound
+                    rows[st_nbr][slot].append(nbr)
+                    if slot < lowest[st_nbr]:
+                        lowest[st_nbr] = slot
+        totals.append(totcost)
+        pairs.append((popped[1], popped[2]))
+    return totals, pairs
+
+
+def _kernighan_lin_sides(graph: nx.Graph, rng) -> Tuple[CSRGraph, np.ndarray]:
+    """One randomized Kernighan–Lin trial over the CSR view.
+
+    Returns the view and the final side of every node index (``True`` is
+    side 1, the shuffled first half).  Step for step this is networkx's
+    ``kernighan_lin_bisection`` (see ``_reference.py``) on unit weights:
+    the same rng draws, initial queue order (graph node order), neighbor
+    update order (CSR rows keep adjacency order) and move selection.
+    """
+    csr = csr_graph(graph)
+    order = [csr.index_of[node] for node in graph.nodes]
+    shuffled = list(order)
+    rng.shuffle(shuffled)  # same draws as shuffling list(graph.nodes)
+    rng.randrange(2**32)  # the seed draw networkx ignored once given a partition
+    side = np.zeros(csr.num_nodes, dtype=bool)
+    side[shuffled[: csr.num_nodes // 2]] = True
+
+    adj = csr.adj_lists()
+    degrees = np.diff(csr.indptr)
+    bound = int(degrees.max(initial=0))
+    isolated = degrees == 0
+    sweeps = moves = 0
+    for _ in range(KL_MAX_ITER):
+        signs = np.where(side, 1, -1)
+        cost = np.add.reduceat(np.append(signs[csr.indices], 0), csr.indptr[:-1])
+        cost[isolated] = 0  # reduceat yields the next entry for an empty row
+        value = np.where(side, cost, -cost).tolist()
+        totals, pairs = _kl_sweep(adj, order, side.tolist(), value, bound)
+        sweeps += 1
+        min_cost = min(totals)
+        if min_cost >= 0:
+            break
+        min_i = totals.index(min_cost) + 1
+        swapped = np.array(pairs[:min_i])
+        side[swapped[:, 0]] = True
+        side[swapped[:, 1]] = False
+        moves += 2 * min_i
+    count("kl.sweeps", sweeps)
+    count("kl.moves", moves)
+    return csr, side
+
+
+def _crossing_edges(csr: CSRGraph, side: np.ndarray) -> int:
+    """Edges whose endpoints lie on different sides of ``side``."""
+    crossings = np.count_nonzero(side[csr.edge_sources()] != side[csr.indices])
+    return int(crossings) // 2
+
+
 def _kernighan_lin_once(graph: nx.Graph, rng) -> Tuple[Set, int]:
-    """One randomized Kernighan–Lin bisection refinement pass."""
-    nodes = list(graph.nodes)
-    rng.shuffle(nodes)
-    half = len(nodes) // 2
-    side_a = set(nodes[:half])
-    partition = nx.algorithms.community.kernighan_lin_bisection(
-        graph, partition=(side_a, set(nodes[half:])), seed=rng.randrange(2**32)
-    )
-    best_side = set(partition[0])
-    return best_side, cut_size(graph, best_side)
+    """One randomized Kernighan–Lin trial: side 0 and its cut size."""
+    with trace("bisection.kl", nodes=graph.number_of_nodes()):
+        csr, side = _kernighan_lin_sides(graph, rng)
+        best_side = {csr.nodes[i] for i in np.flatnonzero(~side).tolist()}
+        return best_side, _crossing_edges(csr, side)
 
 
 def estimate_bisection_bandwidth(
@@ -124,9 +253,16 @@ def estimate_bisection_bandwidth(
 
     Runs ``trials`` randomized Kernighan–Lin bisections and returns the
     smallest cut found, scaled by ``weight_per_edge`` (link capacity).
+    The graph must be simple and undirected with unit edge weights: a
+    ``weight`` edge attribute raises ``ValueError`` instead of being
+    ignored.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if graph.is_directed() or graph.is_multigraph():
+        raise ValueError("bisection estimate needs a simple undirected graph")
+    if any("weight" in data for _, _, data in graph.edges(data=True)):
+        raise ValueError("bisection estimate counts unit edges; got a 'weight' attribute")
     if graph.number_of_nodes() < 2:
         return 0.0
     rand = ensure_rng(rng)

@@ -43,7 +43,9 @@ def jains_fairness_index(rates: Sequence[float]) -> float:
 
     Equals 1.0 when all rates are equal and approaches 1/n when a single
     flow captures all of the bandwidth.  The paper reports ~0.99 for both
-    Jellyfish and the fat-tree (Fig 13).
+    Jellyfish and the fat-tree (Fig 13).  Rounding can push the ratio a few
+    ulps past 1.0 for equal rates (13 x 0.32499999999999996 gives
+    1.0000000000000007), so the result is clamped to the index's maximum.
     """
     if not rates:
         raise ValueError("jains_fairness_index() of empty sequence")
@@ -60,7 +62,7 @@ def jains_fairness_index(rates: Sequence[float]) -> float:
         scaled = [r / peak for r in rates]
         total = sum(scaled)
         square_sum = sum(r * r for r in scaled)
-    return (total * total) / (len(rates) * square_sum)
+    return min(1.0, (total * total) / (len(rates) * square_sum))
 
 
 @dataclass(frozen=True)

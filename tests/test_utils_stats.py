@@ -63,6 +63,14 @@ class TestJainsFairnessIndex:
         value = jains_fairness_index([0.5, 0.9, 0.97, 1.0])
         assert 0.0 < value <= 1.0
 
+    @pytest.mark.parametrize("n", range(9, 35))
+    def test_equal_rates_never_exceed_one(self, n):
+        # 13 x 0.32499999999999996 rounds to 1.0000000000000007 unclamped.
+        for rate in (0.32499999999999996, 0.1, 1 / 3, 0.7, 2.2, 123.456):
+            value = jains_fairness_index([rate] * n)
+            assert value <= 1.0
+            assert value == pytest.approx(1.0)
+
 
 class TestSummarize:
     def test_fields(self):
