@@ -7,6 +7,7 @@ into the committed ``BENCH_kernels.json`` trajectory snapshot.
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.graphs._reference import kernighan_lin_once_reference
@@ -18,8 +19,9 @@ from repro.routing._reference import (
     all_pairs_hop_distances_reference,
     k_shortest_paths_reference,
 )
-from repro.routing.ksp import k_shortest_paths
+from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
 from repro.topologies.jellyfish import JellyfishTopology
+from repro.traffic.matrices import random_permutation_traffic
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,43 @@ def test_bench_reference_yen(benchmark, ksp_graph):
     nodes = sorted(ksp_graph.nodes)
     paths = benchmark(k_shortest_paths_reference, ksp_graph, nodes[0], nodes[-1], 8)
     assert len(paths) == 8
+
+
+@pytest.fixture(scope="module")
+def table1_batch():
+    """Table 1's Jellyfish (245 switches, 14 ports, 780 servers) and the
+    switch pairs of one random permutation."""
+    topology = JellyfishTopology.from_equipment(245, 14, 780, rng=0)
+    traffic = random_permutation_traffic(topology, rng=1)
+    pairs = [pair for pair in traffic.switch_pairs() if pair[0] != pair[1]]
+    return topology.graph, pairs
+
+
+def _cold_ksp_batch(graph, pairs, k):
+    clear_csr_cache()
+    return all_pairs_k_shortest_paths(graph, pairs, k)
+
+
+def test_bench_ksp_table1_batch(benchmark, table1_batch):
+    """One permutation's 8-shortest paths from a cold CSR view (timing only)."""
+    graph, pairs = table1_batch
+    table = benchmark.pedantic(
+        _cold_ksp_batch, args=(graph, pairs, 8), iterations=1, rounds=3
+    )
+    assert len(table) == len(pairs)
+
+
+def test_bench_ksp_high_diameter_ladder(benchmark):
+    """40 random pairs on a 1,500-rung ladder, where spur searches that find
+    no path widen their bound pass by pass (timing only)."""
+    graph = nx.ladder_graph(1500)
+    rng = random.Random(0)
+    nodes = list(graph.nodes)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
+    table = benchmark.pedantic(
+        _cold_ksp_batch, args=(graph, pairs, 8), iterations=1, rounds=1
+    )
+    assert len(table) == len(set(pairs))
 
 
 def test_bench_kernighan_lin(benchmark, kl_graph):

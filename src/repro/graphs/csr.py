@@ -15,7 +15,9 @@ This module provides both as kernels over an immutable compressed-sparse-row
   the edge array advances BFS for 64 sources at once.
 * :func:`k_shortest_path_indices` is Yen's algorithm over the CSR arrays:
   integer node ids, stamped visited/parent scratch arrays reused across spur
-  computations, and integer edge keys instead of per-spur tuple sets.
+  computations, and integer edge keys instead of per-spur tuple sets.  Each
+  spur search is pruned by the memoized hop distance to the target
+  (:meth:`CSRGraph.distances_to`), which never changes its answer.
 
 Neighbor order within each CSR row preserves the ``networkx`` adjacency
 (insertion) order, so BFS parent trees — and therefore every tie broken by
@@ -122,6 +124,9 @@ def index_dtype(num_nodes: int, num_directed_edges: int) -> np.dtype:
 #: — repeated queries over a bounded working set — fully cached.
 _RESULT_CACHE_MAX_ENTRIES = 65536
 _PARENT_TREE_CACHE_MAX = 256
+
+#: "Nothing pruned" marker of the spur search (above any level + distance).
+_UNPRUNED = sys.maxsize
 
 #: Stand-in hash for node ``-1`` (CPython hashes -1 and -2 identically).
 _MINUS_ONE_SURROGATE = 0x2545F4914F6CDD1D
@@ -296,6 +301,7 @@ class CSRGraph:
         "_adj_lists",
         "_edge_src",
         "_parent_trees",
+        "_target_dists",
         "result_cache",
         "_seen",
         "_parent",
@@ -334,6 +340,7 @@ class CSRGraph:
         self._adj_lists: Optional[List[List[int]]] = None
         self._edge_src: Optional[np.ndarray] = None
         self._parent_trees: Dict[int, List[int]] = {}
+        self._target_dists: Dict[int, List[int]] = {}
         # Routing modules memoize query results here via store_result (e.g.
         # ("ksp", s, t, k)).  The cache lives and dies with this CSR view,
         # so any graph mutation — which forces a rebuild via the
@@ -612,6 +619,37 @@ class CSRGraph:
         self._parent_trees[source] = parents
         return parents
 
+    def distances_to(self, target: int) -> List[int]:
+        """Hop distance from every node to ``target`` (``-1`` if unreachable).
+
+        A scalar BFS over :meth:`adj_lists`, memoized per target with the
+        same bound and wholesale eviction as :meth:`bfs_parent_tree`.  It
+        is the pruning bound of Yen's spur search, which asks for one
+        target many times.  Not :meth:`distance_row`: that pays numpy
+        per-level overhead and is not memoized on large graphs.
+        """
+        cached = self._target_dists.get(target)
+        if cached is not None:
+            return cached
+        adj = self.adj_lists()
+        dist = [-1] * self.num_nodes
+        dist[target] = 0
+        frontier = [target]
+        level = 0
+        while frontier:
+            level += 1
+            next_frontier = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = level
+                        next_frontier.append(v)
+            frontier = next_frontier
+        if len(self._target_dists) >= _PARENT_TREE_CACHE_MAX:
+            self._target_dists.clear()
+        self._target_dists[target] = dist
+        return dist
+
 
 def path_from_parent_tree(parents: Sequence[int], source: int, target: int) -> Optional[IndexPath]:
     """Extract the tree path ``source -> target``; None if unreachable."""
@@ -625,55 +663,122 @@ def path_from_parent_tree(parents: Sequence[int], source: int, target: int) -> O
     return tuple(reversed(path))
 
 
-def _bfs_spur_path(
+def _spur_search(
     csr: CSRGraph,
     source: int,
     target: int,
     banned_first_hops: Optional[set],
     blocked_nodes: Sequence[int],
-) -> Optional[IndexPath]:
-    """Shortest path by BFS avoiding removed edges/nodes; None if absent.
+) -> Tuple[Optional[IndexPath], int]:
+    """BFS shortest path avoiding removed edges/nodes, and the passes it ran.
 
-    In Yen's algorithm every removed edge is incident to the spur node — the
-    BFS source — so instead of filtering every traversed edge the kernel
-    only filters the source's own neighbor expansion (``banned_first_hops``).
-    Any other traversal of a removed edge would re-enter the source, which
-    the visited set forbids anyway.  Blocked nodes are pre-marked visited,
-    which excludes them exactly like the historical ``removed_nodes`` set.
+    The path is the one a plain FIFO BFS of the restricted graph finds
+    (parent = first discoverer), or ``None`` if there is none.  In Yen's
+    algorithm every removed edge is incident to the spur node -- the BFS
+    source -- so only the source's own neighbor expansion is filtered
+    (``banned_first_hops``); any other traversal of a removed edge would
+    re-enter the source, which the visited set forbids anyway.  Blocked
+    nodes are pre-stamped visited, which excludes them like a removed-node
+    set.
+
+    Each pass runs that BFS level by level under a bound ``B`` and skips a
+    node first found at level ``l`` when ``l + dist[v] > B``, where ``dist``
+    is the hop distance to ``target`` in the full graph
+    (:meth:`CSRGraph.distances_to`).  This never changes the answer:
+
+    * a restricted distance is at least the full one, so every node of a
+      path of length at most ``B`` passes the test;
+    * if ``u`` first found a kept node ``w``, then ``dist[u] <= dist[w] + 1``,
+      so ``l + dist`` of ``u`` is at most that of ``w`` and ``u`` is kept
+      too: kept nodes are found by the same parents in the same order as
+      in the unbounded BFS.
+
+    The first kept node at distance 1 ends the search.  The target is not
+    on that node's level, since the target's parent is at distance 1 and
+    would have ended the search a level earlier; so the BFS finds the
+    target one level down, from the first distance-1 node of this level.
+
+    The first pass uses ``B0 = 1 + min(dist)`` over the allowed first hops.
+    A pass that misses ``target`` without pruning anything proves there is
+    no path.  Otherwise the next pass uses ``max(smallest pruned l + dist,
+    B0 + 2**passes - 1)``.  Every ``l + dist`` is at most ``2(n - 1)``, so
+    the geometric term caps a search at ``ceil(log2(n)) + 2`` passes on
+    high-diameter graphs (ladders, cycles), where a unit step would repeat
+    the flood once per extra hop.
     """
     if source == target:
-        return (source,)
+        return (source,), 0
+    dist = csr.distances_to(target)
+    if dist[source] < 0:
+        return None, 0
+    # Every node of the source's component reaches the target, so no
+    # distance seen below is negative.
     adj = csr.adj_lists()
     seen, parent, stamp = csr._scratch()
     for node in blocked_nodes:
         seen[node] = stamp
     if seen[source] == stamp or seen[target] == stamp:
-        return None
+        return None, 0
     seen[source] = stamp
-    parent[source] = source
-    queue = []
-    for v in adj[source]:
-        if seen[v] == stamp or (banned_first_hops and v in banned_first_hops):
-            continue
-        parent[v] = source
-        if v == target:
-            return (source, v)
-        seen[v] = stamp
-        queue.append(v)
-    # Plain stamped BFS from here on: iterating the list while appending to
-    # it gives FIFO order without deque overhead.
-    for u in queue:
-        for v in adj[u]:
-            if seen[v] != stamp:
-                parent[v] = u
-                if v == target:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                seen[v] = stamp
-                queue.append(v)
-    return None
+    first_hops = [
+        v
+        for v in adj[source]
+        if seen[v] != stamp and not (banned_first_hops and v in banned_first_hops)
+    ]
+    if not first_hops:
+        return None, 0
+    base = 1 + min([dist[v] for v in first_hops])
+    bound = base
+    passes = 0
+    while True:
+        passes += 1
+        if passes > 1:
+            seen, parent, stamp = csr._scratch()
+            for node in blocked_nodes:
+                seen[node] = stamp
+            seen[source] = stamp
+        pruned = _UNPRUNED  # smallest l + dist skipped in this pass
+        frontier = []
+        for v in first_hops:
+            if seen[v] == stamp:
+                continue
+            seen[v] = stamp
+            d = dist[v]
+            if 1 + d > bound:
+                if 1 + d < pruned:
+                    pruned = 1 + d
+                continue
+            if d <= 1:  # (source, target) or (source, v, target)
+                return ((source, v, target) if d else (source, v)), passes
+            parent[v] = source
+            frontier.append(v)
+        level = 1
+        while frontier:
+            level += 1
+            slack = bound - level
+            next_frontier = []
+            for u in frontier:
+                for v in adj[u]:
+                    if seen[v] != stamp:
+                        seen[v] = stamp
+                        d = dist[v]
+                        if d <= slack:
+                            parent[v] = u
+                            if d > 1:
+                                next_frontier.append(v)
+                                continue
+                            # d == 1; the target itself (d == 0) is never
+                            # found here, its parent ends the search first.
+                            path = [target, v]
+                            while path[-1] != source:
+                                path.append(parent[path[-1]])
+                            return tuple(reversed(path)), passes
+                        if level + d < pruned:
+                            pruned = level + d
+            frontier = next_frontier
+        if pruned == _UNPRUNED:
+            return None, passes
+        bound = max(pruned, base + 2**passes - 1)
 
 
 def k_shortest_path_indices(
@@ -697,7 +802,7 @@ def k_shortest_path_indices(
     common source (see :func:`repro.routing.ksp.all_pairs_k_shortest_paths`).
     """
     if first_path is None:
-        first_path = _bfs_spur_path(csr, source, target, None, ())
+        first_path, _ = _spur_search(csr, source, target, None, ())
     if first_path is None:
         return []
     paths: List[IndexPath] = [first_path]
@@ -706,6 +811,7 @@ def k_shortest_path_indices(
     candidates: List[Tuple[int, IndexPath, int]] = []
     seen_candidates = set()
     spur_attempts = 0
+    spur_passes = 0
 
     while len(paths) < k:
         previous = paths[-1]
@@ -720,7 +826,10 @@ def k_shortest_path_indices(
             }
 
             spur_attempts += 1
-            spur = _bfs_spur_path(csr, spur_node, target, banned_first_hops, root[:-1])
+            spur, passes = _spur_search(
+                csr, spur_node, target, banned_first_hops, root[:-1]
+            )
+            spur_passes += passes
             if spur is None:
                 continue
             candidate = root[:-1] + spur
@@ -735,6 +844,7 @@ def k_shortest_path_indices(
         paths.append(best)
     if spur_attempts:
         count("yen.spur_candidates", spur_attempts)
+        count("yen.spur_passes", spur_passes)
     return paths
 
 

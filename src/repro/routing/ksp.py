@@ -7,7 +7,14 @@ integer node ids, reusable stamped visited/parent arrays per spur BFS, and
 integer edge keys instead of rebuilt tuple sets.  Spur BFS expands
 neighbors in the same adjacency order as the historical pure-Python
 implementation (kept in :mod:`repro.routing._reference`), so results match
-it path-for-path.
+it path-for-path.  Each spur BFS skips nodes that the hop distance to the
+target (memoized per target on the CSR view) rules out of any answer
+within its current length bound, and widens the bound geometrically when
+that prunes the answer away; the returned path is the unbounded BFS's.
+
+:func:`all_pairs_k_shortest_paths` runs in a ``routing.ksp`` trace span
+(``pairs``, ``k``), which collects the ``yen.spur_candidates`` and
+``yen.spur_passes`` counters of its Yen runs.
 
 Ties between equal-length candidates are broken by the native node sequence
 (all topologies use int or tuple node ids), which is stable under graph
@@ -26,6 +33,7 @@ from repro.graphs.csr import (
     k_shortest_path_indices,
     path_from_parent_tree,
 )
+from repro.telemetry import trace
 
 Path = Tuple[Hashable, ...]
 
@@ -84,37 +92,38 @@ def all_pairs_k_shortest_paths(
             raise nx.NodeNotFound(
                 f"source {source!r} or target {target!r} not in graph"
             )
-    csr = csr_graph(graph)
-    nodes = csr.nodes
-    by_source: Dict[int, List[Tuple[Hashable, Hashable]]] = {}
-    for source, target in pairs:
-        by_source.setdefault(csr.index_of[source], []).append((source, target))
+    with trace("routing.ksp", pairs=len(pairs), k=k):
+        csr = csr_graph(graph)
+        nodes = csr.nodes
+        by_source: Dict[int, List[Tuple[Hashable, Hashable]]] = {}
+        for source, target in pairs:
+            by_source.setdefault(csr.index_of[source], []).append((source, target))
 
-    table: Dict[Tuple[Hashable, Hashable], List[Path]] = {}
-    for source_index, group in by_source.items():
-        pending = []
-        for pair in group:
-            cached = csr.result_cache.get(("ksp", pair[0], pair[1], k))
-            if cached is not None:
-                table[pair] = list(cached)
-            else:
-                pending.append(pair)
-        if not pending:
-            continue
-        parents = csr.bfs_parent_tree(source_index)
-        for pair in pending:
-            first = path_from_parent_tree(
-                parents, source_index, csr.index_of[pair[1]]
-            )
-            key = ("ksp", pair[0], pair[1], k)
-            if first is None:
-                csr.store_result(key, [])
-                table[pair] = []
+        table: Dict[Tuple[Hashable, Hashable], List[Path]] = {}
+        for source_index, group in by_source.items():
+            pending = []
+            for pair in group:
+                cached = csr.result_cache.get(("ksp", pair[0], pair[1], k))
+                if cached is not None:
+                    table[pair] = list(cached)
+                else:
+                    pending.append(pair)
+            if not pending:
                 continue
-            index_paths = k_shortest_path_indices(
-                csr, source_index, csr.index_of[pair[1]], k, first_path=first
-            )
-            result = [tuple(nodes[i] for i in path) for path in index_paths]
-            csr.store_result(key, result)
-            table[pair] = list(result)
-    return table
+            parents = csr.bfs_parent_tree(source_index)
+            for pair in pending:
+                first = path_from_parent_tree(
+                    parents, source_index, csr.index_of[pair[1]]
+                )
+                key = ("ksp", pair[0], pair[1], k)
+                if first is None:
+                    csr.store_result(key, [])
+                    table[pair] = []
+                    continue
+                index_paths = k_shortest_path_indices(
+                    csr, source_index, csr.index_of[pair[1]], k, first_path=first
+                )
+                result = [tuple(nodes[i] for i in path) for path in index_paths]
+                csr.store_result(key, result)
+                table[pair] = list(result)
+        return table

@@ -230,10 +230,14 @@ def shared_path_set(
         if source != target and (source, target) not in table.paths
     ]
     if pending:
-        _extend_table(graph, table.paths, pending, scheme, k, on_unreachable)
-        _shared_path_counts[key] = sum(
-            len(options) for options in table.paths.values()
-        )
+        try:
+            _extend_table(graph, table.paths, pending, scheme, k, on_unreachable)
+        finally:
+            # Recount even when an unreachable pair raised part-way: the
+            # pairs routed before it stay in the table and use the budget.
+            _shared_path_counts[key] = sum(
+                len(options) for options in table.paths.values()
+            )
     _evict_shared_tables(key)
     return table
 

@@ -4,12 +4,16 @@ Pins the array-native kernels against networkx and the retained pre-CSR
 pure-Python implementations (:mod:`repro.routing._reference`):
 
 * batched bitset BFS vs ``nx.single_source_shortest_path_length``
-* CSR-native Yen vs the historical ``k_shortest_paths`` (path-for-path)
+* CSR-native Yen vs the historical ``k_shortest_paths`` (path-for-path),
+  and its distance-bounded spur search vs the reference BFS
 * shortest-path enumeration vs ``nx.all_shortest_paths``
 
 on random Jellyfish/fat-tree-style graphs, including disconnected graphs
 and degree-0 corners, plus direct tests of the CSRGraph cache lifecycle.
 """
+
+import math
+import random
 
 import networkx as nx
 import numpy as np
@@ -17,16 +21,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import csr as csr_module
 from repro.graphs.csr import (
     CSRGraph,
     batched_hop_distances,
     clear_csr_cache,
     csr_graph,
+    k_shortest_path_indices,
 )
 from repro.graphs.regular import sequential_random_regular_graph
-from repro.routing._reference import k_shortest_paths_reference
+from repro.routing._reference import (
+    bfs_shortest_path_reference,
+    k_shortest_paths_reference,
+)
 from repro.routing.ecmp import all_shortest_paths
 from repro.routing.ksp import all_pairs_k_shortest_paths, k_shortest_paths
+from repro.telemetry import disable, enable
 from repro.topologies.fattree import FatTreeTopology
 from repro.topologies.jellyfish import JellyfishTopology
 
@@ -59,6 +69,51 @@ def jellyfish_like_graphs(draw):
     if draw(st.booleans()):
         isolated = draw(st.integers(min_value=0, max_value=num_nodes - 1))
         graph.remove_edges_from(list(graph.edges(isolated)))
+    return graph
+
+
+@st.composite
+def spur_stress_graphs(draw):
+    """Graphs that stress the spur search's distance bound.
+
+    Grids have many equal-length ties; ladders and cycles force retries
+    with a wider bound; the fat-tree has tuple labels; the disconnected
+    graphs carry isolated nodes; the shuffled Jellyfish-style graphs insert
+    nodes and edges out of sorted order, so CSR index order and adjacency
+    order disagree.
+    """
+    kind = draw(
+        st.sampled_from(
+            ["grid", "ladder", "cycle", "fattree", "disconnected", "shuffled"]
+        )
+    )
+    if kind == "grid":
+        rows = draw(st.integers(min_value=2, max_value=6))
+        return nx.grid_2d_graph(rows, draw(st.integers(min_value=2, max_value=6)))
+    if kind == "ladder":
+        return nx.ladder_graph(draw(st.integers(min_value=2, max_value=20)))
+    if kind == "cycle":
+        return nx.cycle_graph(draw(st.integers(min_value=3, max_value=30)))
+    if kind == "fattree":
+        return FatTreeTopology.build(4).graph
+    if kind == "disconnected":
+        graph = nx.disjoint_union(
+            nx.cycle_graph(draw(st.integers(min_value=3, max_value=9))),
+            nx.ladder_graph(draw(st.integers(min_value=2, max_value=6))),
+        )
+        first_isolated = graph.number_of_nodes()
+        isolated = draw(st.integers(min_value=1, max_value=3))
+        graph.add_nodes_from(range(first_isolated, first_isolated + isolated))
+        return graph
+    base = draw(jellyfish_like_graphs())
+    shuffle = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    nodes = list(base.nodes)
+    edges = list(base.edges)
+    shuffle.shuffle(nodes)
+    shuffle.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
     return graph
 
 
@@ -160,6 +215,118 @@ class TestYenParity:
         assert k_shortest_paths(graph, *pair, 6) == k_shortest_paths_reference(
             graph, *pair, 6
         )
+
+
+class TestSpurSearch:
+    """The distance-bounded spur search must return the plain BFS's path."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spur_stress_graphs(), st.data())
+    def test_matches_reference_bfs(self, graph, data):
+        clear_csr_cache()
+        nodes = list(graph.nodes)
+        source = data.draw(st.sampled_from(nodes))
+        target = data.draw(st.sampled_from(nodes))
+        neighbors = list(graph.adj[source])
+        banned = data.draw(st.sets(st.sampled_from(neighbors))) if neighbors else set()
+        blocked = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=len(nodes), unique=True)
+        )
+        csr = csr_graph(graph)
+        index = csr.index_of
+        path, passes = csr_module._spur_search(
+            csr,
+            index[source],
+            index[target],
+            {index[node] for node in banned},
+            [index[node] for node in blocked],
+        )
+        ours = None if path is None else tuple(csr.nodes[i] for i in path)
+        expected = bfs_shortest_path_reference(
+            graph, source, target, {(source, node) for node in banned}, set(blocked)
+        )
+        assert ours == expected
+        assert passes <= math.ceil(math.log2(len(nodes))) + 2
+        # Unrestricted, the first bound is the exact distance: one pass.
+        path, passes = csr_module._spur_search(
+            csr, index[source], index[target], None, ()
+        )
+        reachable = nx.has_path(graph, source, target)
+        assert (path is not None) == reachable
+        assert passes == (1 if reachable and source != target else 0)
+
+    def test_distances_to_matches_networkx_and_is_memoized(self, monkeypatch):
+        graph = nx.disjoint_union(nx.ladder_graph(5), nx.path_graph(3))
+        graph.add_node(13)
+        csr = csr_graph(graph)
+        for target in graph.nodes:
+            expected = nx.single_source_shortest_path_length(graph, target)
+            dist = csr.distances_to(csr.index_of[target])
+            assert dist == [expected.get(node, -1) for node in csr.nodes]
+            assert csr.distances_to(csr.index_of[target]) is dist
+        monkeypatch.setattr(csr_module, "_PARENT_TREE_CACHE_MAX", 2)
+        fresh = CSRGraph(graph)
+        first = fresh.distances_to(0)
+        fresh.distances_to(1)
+        fresh.distances_to(2)  # the memo was full: evicted wholesale
+        assert fresh.distances_to(0) is not first
+        assert fresh.distances_to(0) == first
+
+    def test_passes_stay_logarithmic_on_a_long_ladder(self, monkeypatch):
+        """Spurs that find no path flood ever-wider bounds; they must not
+        take one pass per extra hop."""
+        graph = nx.ladder_graph(1000)
+        passes = []
+        search = csr_module._spur_search
+
+        def recording(*args):
+            path, count = search(*args)
+            passes.append(count)
+            return path, count
+
+        monkeypatch.setattr(csr_module, "_spur_search", recording)
+        clear_csr_cache()
+        csr = csr_graph(graph)
+        for source, target in [(0, 1000), (500, 1500), (0, 1999)]:
+            paths = k_shortest_path_indices(csr, source, target, 3)
+            native = [tuple(csr.nodes[i] for i in path) for path in paths]
+            assert native == k_shortest_paths_reference(graph, source, target, 3)
+        assert max(passes) > 1  # the wider-bound retries ran
+        assert max(passes) <= math.ceil(math.log2(graph.number_of_nodes())) + 2
+
+
+class TestYenRandomPairParity:
+    """Yen over random pairs and k up to 16 on the spur-stress graphs."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spur_stress_graphs(), st.data())
+    def test_matches_reference_exactly(self, graph, data):
+        clear_csr_cache()
+        nodes = list(graph.nodes)
+        for _ in range(3):
+            source = data.draw(st.sampled_from(nodes))
+            target = data.draw(st.sampled_from(nodes))
+            k = data.draw(st.integers(min_value=1, max_value=16))
+            assert k_shortest_paths(graph, source, target, k) == (
+                k_shortest_paths_reference(graph, source, target, k)
+            )
+
+    def test_traced_batch_reports_its_span_and_spur_counters(self):
+        graph = nx.grid_2d_graph(5, 5)
+        pairs = [((0, 0), (4, 4)), ((0, 4), (4, 0)), ((2, 2), (0, 0))]
+        clear_csr_cache()
+        tracer = enable()
+        try:
+            table = all_pairs_k_shortest_paths(graph, pairs, 6)
+        finally:
+            disable()
+        assert all(len(table[pair]) == 6 for pair in pairs)
+        spans = [event for event in tracer.events if event["name"] == "routing.ksp"]
+        assert len(spans) == 1
+        counters = spans[0]["counters"]
+        assert counters["pairs"] == 3 and counters["k"] == 6
+        assert counters["yen.spur_candidates"] > 0
+        assert counters["yen.spur_passes"] > 0
 
 
 class TestAllShortestPathsParity:

@@ -3,7 +3,13 @@
 import networkx as nx
 import pytest
 
-from repro.routing.paths import PathSet, build_path_set
+from repro.routing.paths import (
+    PathSet,
+    build_path_set,
+    clear_shared_path_sets,
+    shared_path_set,
+    shared_path_set_stats,
+)
 
 
 @pytest.fixture()
@@ -72,3 +78,23 @@ class TestPathSetStatistics:
         path_set = build_path_set(grid, [((0, 0), (3, 3))], scheme="ksp", k=5)
         assert path_set.max_paths_per_pair() == 5
         assert PathSet().max_paths_per_pair() == 0
+
+
+class TestSharedPathSetAccounting:
+    @pytest.fixture(autouse=True)
+    def _fresh_tables(self):
+        clear_shared_path_sets()
+        yield
+        clear_shared_path_sets()
+
+    def test_unreachable_pair_keeps_the_path_count_exact(self):
+        # (0, 7) joins the two components, so routing raises on it after
+        # (0, 3) and (1, 4) were stored: both keep counting against the budget.
+        graph = nx.disjoint_union(nx.cycle_graph(6), nx.cycle_graph(4))
+        pairs = [(0, 3), (1, 4), (0, 7)]
+        with pytest.raises(ValueError):
+            shared_path_set(graph, pairs, scheme="ksp", k=2)
+        assert shared_path_set_stats()["paths"] == 4
+        table = shared_path_set(graph, pairs[:2], scheme="ksp", k=2)
+        assert sum(len(options) for options in table.paths.values()) == 4
+        assert shared_path_set_stats()["paths"] == 4
